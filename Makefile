@@ -2,11 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test race check fmt-check vet bench bench-json bench-pr8 bench-pr9 bench-pr10 quick report examples clean figs4-smoke scale-race parallel-equiv
+.PHONY: all build test race check fmt-check vet bench bench-json bench-pr8 quick report examples clean figs4-smoke scale-race figr1
 
 # Default verify path: formatting, vet, build, tests — then the race
 # detector over the whole module (the parallel experiment harness must
-# stay data-race-free).
+# stay data-race-free; it also covers the simtest, sim, clock and core
+# differential replays).
 all: check race
 
 build:
@@ -46,35 +47,6 @@ quick:
 # nodes. Under a minute of wall time; the quick CI proxy is figs4-smoke.
 bench-pr8:
 	$(GO) run ./cmd/libra-bench -elastic BENCH_PR8.json
-
-# Regenerate the committed PR-9 lane-scaling record: the endurance
-# replay across event-engine lane counts, with a byte-equality check of
-# every sharded report against the serial run. On a single-CPU host the
-# curve honestly records barrier overhead instead of speedup.
-bench-pr9:
-	$(GO) run ./cmd/libra-bench -lanescale BENCH_PR9.json
-
-# Regenerate the committed PR-10 record: the same lane-scaling replay,
-# now with the whole per-node hot path lane-pinned and the merge-
-# barrier diagnostics per point — batch count, mean batch width in
-# lanes, single-lane-batch fraction, and the lane-work / barrier-wait /
-# merge wall-time split.
-bench-pr10:
-	$(GO) run ./cmd/libra-bench -lanescale BENCH_PR10.json
-
-# Differential replay of serial vs sharded engines under the race
-# detector: the full (variant × seed × faults × autoscale) matrix plus
-# the mid-batch chaos and autoscale lane-remap cases, the lane-merge
-# fuzz seed corpus (incl. the harvest-op alphabet), the sim/live
-# equivalence suite and the golden lane-invariance sweep — figs2m,
-# figs3, figs4 and figf1 among every registered experiment — at lanes
-# 1, 2 and GOMAXPROCS.
-parallel-equiv:
-	$(GO) test -race -timeout 45m -count=1 \
-	  ./internal/simtest/ ./internal/sim/ ./internal/clock/ ./internal/core/
-	$(GO) test -race -timeout 45m -count=1 \
-	  -run 'TestGoldenRendersLaneInvariant|TestFigs2mShardedMatchesSerial' \
-	  ./internal/experiments/
 
 # Diurnal-elasticity replay (EXPERIMENTS.md Fig S4), quick mode: static
 # base fleet vs peak-provisioned fleet vs the elastic node group on the

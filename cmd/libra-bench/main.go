@@ -29,7 +29,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -105,29 +104,10 @@ func runElastic(path string) error {
 	return nil
 }
 
-// runLaneScale is the -lanescale mode: measure the event-engine lane
-// scaling curve on the endurance scenario and write the JSON record.
-func runLaneScale(path string) error {
-	rep, err := benchkit.MeasureLanes(os.Stdout)
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "libra-bench: wrote lane-scaling report to %s\n", path)
-	return nil
-}
-
 func main() {
 	var (
 		common   = cliflags.AddCommon(flag.CommandLine)
 		parallel = cliflags.AddParallel(flag.CommandLine)
-		lanes    = cliflags.AddLanes(flag.CommandLine)
 		exp      = flag.String("exp", "", "run a single experiment by id (e.g. fig6)")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		quick    = flag.Bool("quick", false, "trimmed sweeps and single repetitions")
@@ -136,7 +116,6 @@ func main() {
 		jsonOut  = flag.String("json", "", "benchmark mode: run the hot-path benchmark registry and write the perf report to this file")
 		cells    = flag.Bool("cells", true, "benchmark mode: also time a quick-mode run of every experiment cell")
 		elastic  = flag.String("elastic", "", "elasticity mode: full-scale figs4 replay plus decision-cost rungs, written to this file")
-		laneScal = flag.String("lanescale", "", "lane-scaling mode: endurance replay across engine lane counts, written to this file")
 	)
 	flag.Parse()
 	seed, traceOut := &common.Seed, &common.Trace
@@ -157,14 +136,6 @@ func main() {
 		return
 	}
 
-	if *laneScal != "" {
-		if err := runLaneScale(*laneScal); err != nil {
-			fmt.Fprintf(os.Stderr, "libra-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-10s %s\n", e.ID, e.Title)
@@ -175,7 +146,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	opts := experiments.Options{Seed: *seed, Reps: *reps, Quick: *quick, Parallel: *parallel, EngineLanes: *lanes}
+	opts := experiments.Options{Seed: *seed, Reps: *reps, Quick: *quick, Parallel: *parallel}
 	var col *obs.Collector
 	if *traceOut != "" {
 		col = obs.NewCollector()

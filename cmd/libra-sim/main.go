@@ -32,7 +32,6 @@ func main() {
 		plat        = cliflags.AddPlatform(flag.CommandLine, "libra", "single")
 		flt         = cliflags.AddFaults(flag.CommandLine)
 		scl         = cliflags.AddScale(flag.CommandLine)
-		lanes       = cliflags.AddLanes(flag.CommandLine)
 		rpm         = flag.Float64("rpm", 120, "workload request rate (requests/minute)")
 		invocations = flag.Int("invocations", 165, "workload size")
 		compare     = flag.Bool("compare", false, "run all six platform variants")
@@ -66,7 +65,6 @@ func main() {
 		fatal(err)
 	}
 	cfg.Autoscale = autoscale
-	cfg.EngineLanes = *lanes
 
 	var rec *obs.Recorder
 	if *traceOut != "" {

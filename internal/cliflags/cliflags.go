@@ -29,16 +29,11 @@ func AddCommon(fs *flag.FlagSet) *Common {
 }
 
 // AddParallel registers -parallel on fs (the commands that fan units
-// over a worker pool).
+// over a worker pool). It is the only parallelism knob: each unit
+// replays on one serial event engine, so runs parallelize across
+// units, never inside one.
 func AddParallel(fs *flag.FlagSet) *int {
 	return fs.Int("parallel", 0, "worker pool size for experiment units (0 = GOMAXPROCS, 1 = serial)")
-}
-
-// AddLanes registers -lanes on fs: the event-engine lane count for
-// deterministic intra-run parallelism (DESIGN.md §11). Every lane count
-// renders byte-identical output; lanes only change wall-clock time.
-func AddLanes(fs *flag.FlagSet) *int {
-	return fs.Int("lanes", 0, "event-engine lanes per run: 0 = serial engine, n = sharded engine with n parallel lanes (identical output)")
 }
 
 // Platform holds the platform-preset selection flags.

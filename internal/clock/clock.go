@@ -113,49 +113,6 @@ type Runner interface {
 	Run()
 }
 
-// Lane is one parallel lane of a sharded clock: a Clock view whose
-// events are tagged with the lane and may execute concurrently with
-// other lanes' events due at the same instant. Everything a lane
-// callback does through its own Lane — Schedule, At, Cancel, Emit,
-// Global — is buffered and applied at the merge barrier in the exact
-// order a serial clock would have applied it, which is what keeps a
-// sharded run bit-identical to a serial one.
-//
-// The single-owner contract: an event scheduled through a Lane (or its
-// Global proxy) may only be cancelled or queried from that same lane's
-// callbacks, or from global-lane callbacks. Cross-lane cancellation is
-// a data race by construction and the sharded engine panics on the
-// detectable cases.
-type Lane interface {
-	Clock
-	// Emit queues fn to run on the clock's merge goroutine at the next
-	// barrier, serialized with every other lane's emissions in
-	// deterministic slot order (the order a serial engine would have run
-	// the emitting callbacks). fn must capture the values it needs at
-	// call time — lane state may advance before the barrier — and must
-	// not schedule or cancel events. Outside a parallel batch, Emit runs
-	// fn inline.
-	Emit(fn func())
-	// Global returns a Clock that schedules onto the global lane —
-	// usable from this lane's callbacks for events that must serialize
-	// with every lane (interaction points).
-	Global() Clock
-}
-
-// Sharder is implemented by clocks that partition events into parallel
-// lanes with a deterministic merge barrier — the sharded sim engine.
-// Code that can split per-entity periodic work (the platform's health
-// pings) type-asserts its Clock to Sharder and schedules each
-// partition on its own Lane; when the assertion fails it falls back to
-// the single-lane path unchanged.
-type Sharder interface {
-	Clock
-	// Lanes returns the number of parallel lanes (≥ 1).
-	Lanes() int
-	// Lane returns lane i's scheduling view, 0 ≤ i < Lanes().
-	Lane(i int) Lane
-}
-
 // Ticker fires a callback on a fixed period until stopped. It is the
 // driver-agnostic building block for periodic behaviours: utilization
 // sampling, health pings, safeguard monitor windows, load generation.

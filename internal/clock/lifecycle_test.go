@@ -14,9 +14,8 @@ import (
 // clock.Clock implementation must agree on: the platform cancels
 // completion, safeguard and OOM timers that may already have fired, and
 // a driver that diverged here would corrupt a replay silently. This
-// suite runs each case against the serial sim engine, the sharded
-// engine (1 lane and several), and the wall driver under a manual time
-// source.
+// suite runs each case against the serial sim engine and the wall
+// driver under a manual time source.
 
 type lifecycleRunner interface {
 	clock.Runner
@@ -29,8 +28,6 @@ var lifecycleEngines = []struct {
 	new  func() lifecycleRunner
 }{
 	{"sim", func() lifecycleRunner { return sim.NewEngine() }},
-	{"sharded-1", func() lifecycleRunner { return sim.NewSharded(1) }},
-	{"sharded-3", func() lifecycleRunner { return sim.NewSharded(3) }},
 	{"wall-manual", func() lifecycleRunner { return clock.NewDriver(clock.NewManualSource()) }},
 }
 

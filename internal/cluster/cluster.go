@@ -153,9 +153,9 @@ type exec struct {
 	started    bool // code execution began (past cold start)
 
 	// doneTail runs the cross-node completion tail (OnComplete, record
-	// recycling) as a zero-delay event on the node's tail clock. Bound
-	// once when the record is first allocated and kept across recycling,
-	// so completion schedules no per-invocation closure.
+	// recycling) as a zero-delay event. Bound once when the record is
+	// first allocated and kept across recycling, so completion schedules
+	// no per-invocation closure.
 	doneTail func()
 }
 
@@ -166,18 +166,6 @@ type Node struct {
 	clk clock.Clock
 	id  int
 	cap resources.Vector
-
-	// laneClk schedules the node's own event stream — container-init
-	// completion, execution finish, safeguard windows, OOM checks. It
-	// defaults to clk; SetLane repins it to one lane of a sharded clock
-	// so the per-node hot path runs on a lane goroutine. Every callback
-	// scheduled through it touches only this node's state.
-	laneClk clock.Clock
-	// tailClk schedules the cross-node tails of lane events (completion
-	// and failure notification into the platform). It defaults to clk;
-	// SetLane repins it to the sharded clock's global lane, where the
-	// tails serialize with every lane at the merge barrier.
-	tailClk clock.Clock
 
 	committed resources.Vector // Σ user reservations of running invocations
 	bonusOut  resources.Vector // Σ outstanding revocable bonus grants
@@ -231,8 +219,6 @@ const DefaultWarmTTL = 600.0
 func NewNode(clk clock.Clock, id int, cap resources.Vector) *Node {
 	return &Node{
 		clk:     clk,
-		laneClk: clk,
-		tailClk: clk,
 		id:      id,
 		cap:     cap,
 		warmTTL: DefaultWarmTTL,
@@ -241,16 +227,6 @@ func NewNode(clk clock.Clock, id int, cap resources.Vector) *Node {
 		CPUPool: harvest.New(),
 		MemPool: harvest.New(),
 	}
-}
-
-// SetLane pins the node's event stream to one lane of a sharded clock:
-// per-node events (init/finish/safeguard/OOM) schedule onto the lane and
-// run on its goroutine, while cross-node tails route to the global lane.
-// Must be called before any invocation starts; the lane must stay fixed
-// for the node's lifetime (the sharded engine's single-owner contract).
-func (n *Node) SetLane(lane clock.Lane) {
-	n.laneClk = lane
-	n.tailClk = lane.Global()
 }
 
 // SetWarmTTL changes the idle-container eviction delay; zero or negative
@@ -488,7 +464,7 @@ func (n *Node) Start(inv *Invocation, opts StartOptions) {
 		inv.Harvested = true
 	}
 
-	e.initEv = n.laneClk.Schedule(delay, func() { n.beginExecution(e, opts) })
+	e.initEv = n.clk.Schedule(delay, func() { n.beginExecution(e, opts) })
 	n.replenish()
 }
 
@@ -611,7 +587,7 @@ func (n *Node) beginExecution(e *exec, opts StartOptions) {
 		if win <= 0 {
 			win = 0.1
 		}
-		e.sgEv = n.laneClk.Schedule(win, func() { n.safeguardCheck(e, opts.SafeguardThreshold) })
+		e.sgEv = n.clk.Schedule(win, func() { n.safeguardCheck(e, opts.SafeguardThreshold) })
 	}
 
 	// OOM-kill fault model: the invocation reaches its memory peak
@@ -621,7 +597,7 @@ func (n *Node) beginExecution(e *exec, opts StartOptions) {
 	// and §5.2's safeguard exist to mitigate — the safeguard restores the
 	// allocation at the monitor window, disarming this check).
 	if opts.OOMDelay > 0 && e.own.Mem < e.inv.UserAlloc.Mem {
-		e.oomEv = n.laneClk.Schedule(opts.OOMDelay, func() { n.oomCheck(e) })
+		e.oomEv = n.clk.Schedule(opts.OOMDelay, func() { n.oomCheck(e) })
 	}
 }
 
@@ -646,22 +622,24 @@ func (n *Node) oomCheck(e *exec) {
 	n.abort(e)
 	if n.OnFailure != nil {
 		// The failure notification reaches into platform state shared by
-		// every node (retry queues, shard accounting), so it cannot run on
-		// the node's lane: defer it to the tail clock at the same instant.
+		// every node (retry queues, shard accounting); it runs as a
+		// zero-delay event at the same instant, after the kill itself.
+		// The deferral is part of the replay contract: the event order,
+		// the fired-event count and every golden depend on it.
 		inv := e.inv
-		n.tailClk.Schedule(0, func() { n.OnFailure(inv, FailOOM) })
+		n.clk.Schedule(0, func() { n.OnFailure(inv, FailOOM) })
 	}
 }
 
 // scheduleCompletion (re)schedules e's completion event from its current
 // rate and remaining work.
 func (n *Node) scheduleCompletion(e *exec) {
-	n.laneClk.Cancel(e.doneEv) // no-op on the zero handle or a fired event
+	n.clk.Cancel(e.doneEv) // no-op on the zero handle or a fired event
 	if e.rate <= 0 {
 		// Starved (should not happen: own allocation is always positive).
 		panic(fmt.Sprintf("cluster: invocation %d starved at rate 0", e.inv.ID))
 	}
-	e.doneEv = n.laneClk.Schedule(e.remaining/e.rate, func() { n.complete(e) })
+	e.doneEv = n.clk.Schedule(e.remaining/e.rate, func() { n.complete(e) })
 }
 
 // progress advances e's remaining-work account to now and recomputes the
@@ -834,8 +812,8 @@ func (n *Node) complete(e *exec) {
 	now := n.clk.Now()
 	n.accumulate()
 	e.progress(now)
-	n.laneClk.Cancel(e.sgEv)
-	n.laneClk.Cancel(e.oomEv)
+	n.clk.Cancel(e.sgEv)
+	n.clk.Cancel(e.oomEv)
 	e.inv.End = now
 	if n.Tracer != nil {
 		n.Tracer.Record(obs.Event{T: now, Inv: int64(e.inv.ID), Kind: obs.KindComplete,
@@ -881,17 +859,17 @@ func (n *Node) complete(e *exec) {
 
 	n.replenish()
 
-	// Everything above touched only this node's state, so it can run on
-	// the node's lane. The completion tail reaches into shared platform
-	// state — shard release, ready-queue dispatch, metrics — so it runs
-	// as a zero-delay event on the tail clock, at the same instant but
-	// serialized with every lane. On a serial clock the deferral is the
-	// same Schedule(0), keeping the event order identical across drivers.
-	n.tailClk.Schedule(0, e.doneTail)
+	// Everything above touched only this node's state. The completion
+	// tail reaches into shared platform state — shard release,
+	// ready-queue dispatch, metrics — and runs as a zero-delay event at
+	// the same instant. Like the OOM failure tail, the deferral is part
+	// of the replay contract: inlining it would reorder events and move
+	// the goldens.
+	n.clk.Schedule(0, e.doneTail)
 }
 
-// finishTail is the cross-node part of complete, run from the tail
-// clock: notify the platform, then recycle the record (it left
+// finishTail is the cross-node part of complete, run as its own
+// zero-delay event: notify the platform, then recycle the record (it left
 // n.running in complete, its events have all fired or been cancelled,
 // and no caller retains it past OnComplete).
 func (n *Node) finishTail(e *exec) {
@@ -930,10 +908,10 @@ func (n *Node) putExec(e *exec) {
 // cancelEvents disarms every pending event of an exec so an aborted
 // invocation cannot fire a stale completion, safeguard or OOM check.
 func (n *Node) cancelEvents(e *exec) {
-	n.laneClk.Cancel(e.initEv)
-	n.laneClk.Cancel(e.doneEv)
-	n.laneClk.Cancel(e.sgEv)
-	n.laneClk.Cancel(e.oomEv)
+	n.clk.Cancel(e.initEv)
+	n.clk.Cancel(e.doneEv)
+	n.clk.Cancel(e.sgEv)
+	n.clk.Cancel(e.oomEv)
 	e.initEv, e.doneEv, e.sgEv, e.oomEv = clock.Handle{}, clock.Handle{}, clock.Handle{}, clock.Handle{}
 }
 

@@ -79,12 +79,6 @@ type Config struct {
 	// Tracer, when non-nil, receives the run's invocation-lifecycle
 	// events (DESIGN.md §6e). nil disables tracing with zero overhead.
 	Tracer obs.Tracer
-	// EngineLanes selects the clock Run constructs: 0 (the default) is
-	// the serial sim engine; n ≥ 1 is the sharded lane engine with n
-	// parallel lanes (DESIGN.md §11). Every lane count produces the same
-	// report and trace byte for byte — lanes trade wall-clock time only.
-	// RunOn ignores this field (the caller passed its own clock).
-	EngineLanes int
 }
 
 func (c Config) platformConfig() (platform.Config, error) {
@@ -192,12 +186,8 @@ type Clock = clock.Clock
 
 // Run replays a workload on the configured platform under a fresh
 // private simulation engine — the deterministic path every experiment
-// uses. Config.EngineLanes picks the engine: serial, or sharded with n
-// parallel lanes (same output, different wall-clock time).
+// uses.
 func Run(cfg Config, workload trace.Set) (*Report, error) {
-	if cfg.EngineLanes > 0 {
-		return RunOn(sim.NewSharded(cfg.EngineLanes), cfg, workload)
-	}
 	return RunOn(sim.NewEngine(), cfg, workload)
 }
 

@@ -14,15 +14,12 @@ import (
 )
 
 // equivEngines is the full driver line-up the replay guarantee covers:
-// the wall driver under mocked time (live mode is sim mode with a
-// different clock) and the sharded lane engine at one and several lanes
-// (parallel mode is sim mode with a different clock, too).
+// the serial sim engine and the wall driver under mocked time (live
+// mode is sim mode with a different clock).
 func equivEngines() []simtest.EngineFactory {
 	return []simtest.EngineFactory{
 		simtest.Serial(),
 		simtest.WallManual(),
-		simtest.ShardedLanes(1),
-		simtest.ShardedLanes(4),
 	}
 }
 

@@ -109,7 +109,7 @@ func OverheadReport(ctx context.Context, o Options) (Renderer, error) {
 	}
 	o.defaults()
 	cfg := platform.PresetLibra(platform.MultiNode(), o.Seed)
-	p := mustPlatform(o, cfg)
+	p := mustPlatform(cfg)
 	r := p.Run(trace.Generate("overheads", function.Apps(), 300, 120, o.Seed))
 	res := &OverheadResult{Invocations: len(r.Records), Trainings: r.Trainings}
 	res.TrainingSeconds = float64(r.Trainings) * profiler.OfflineTrainOverhead

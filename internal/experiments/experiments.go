@@ -25,7 +25,6 @@ import (
 	"sync"
 	"text/tabwriter"
 
-	"libra/internal/clock"
 	"libra/internal/obs"
 	"libra/internal/platform"
 	"libra/internal/sim"
@@ -55,11 +54,6 @@ type Options struct {
 	// default) disables tracing entirely — no recorder is allocated and
 	// the platforms run with a nil tracer.
 	Trace *obs.Collector
-	// EngineLanes selects the event engine each unit runs on: 0 (the
-	// default) is the serial engine; n ≥ 1 is the sharded lane engine
-	// with n lanes (DESIGN.md §11). The rendered output is identical for
-	// every value — lanes change wall-clock time, never the replay.
-	EngineLanes int
 }
 
 // ProgressEvent reports one completed unit of a running fan-out.
@@ -178,19 +172,15 @@ func ByID(id string) (Experiment, error) {
 
 // runPlatform runs one platform config over a set, averaged metrics are
 // the caller's business; this returns the raw result.
-func runPlatform(o Options, cfg platform.Config, set trace.Set) *platform.Result {
-	return mustPlatform(o, cfg).Run(set)
+func runPlatform(cfg platform.Config, set trace.Set) *platform.Result {
+	return mustPlatform(cfg).Run(set)
 }
 
-// mustPlatform builds a platform from a preset config on the engine
-// Options.EngineLanes selects, panicking on the impossible
-// invalid-config case (presets are correct by construction).
-func mustPlatform(o Options, cfg platform.Config) *platform.Platform {
-	var clk clock.Clock = sim.NewEngine()
-	if o.EngineLanes > 0 {
-		clk = sim.NewSharded(o.EngineLanes)
-	}
-	p, err := platform.New(clk, cfg)
+// mustPlatform builds a sim-engine platform from a preset config,
+// panicking on the impossible invalid-config case (presets are correct
+// by construction).
+func mustPlatform(cfg platform.Config) *platform.Platform {
+	p, err := platform.New(sim.NewEngine(), cfg)
 	if err != nil {
 		panic(err)
 	}

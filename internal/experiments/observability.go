@@ -72,7 +72,7 @@ func FigO1Breakdown(ctx context.Context, o Options) (Renderer, error) {
 		cfg := c.cfg
 		cfg.Seed = seed
 		cfg.Tracer = blk.Unit(i)
-		runPlatform(o, cfg, c.mkSet(seed))
+		runPlatform(cfg, c.mkSet(seed))
 		return struct{}{}
 	})
 	if err != nil {

@@ -200,20 +200,11 @@ type Figs2mResult struct {
 // Libra. Quick mode trims to a 10-node 5k-invocation slice at the same
 // per-node rate.
 func Figs2mJetstream(ctx context.Context, o Options) (Renderer, error) {
+	o.defaults()
 	sc := Figs2mScale
 	if o.Quick {
 		sc.Nodes, sc.Schedulers, sc.Invocations, sc.RPM = 10, 2, 5_000, 150
 	}
-	return figs2m(ctx, o, sc)
-}
-
-// figs2m replays the endurance cell at an explicit geometry — the
-// scaled-down equivalence and bench harnesses pick their own.
-func figs2m(ctx context.Context, o Options, sc struct {
-	Nodes, Schedulers, Invocations int
-	RPM                            float64
-}) (Renderer, error) {
-	o.defaults()
 	tb := platform.Jetstream(sc.Nodes, sc.Schedulers)
 	mkSet := func(seed int64) trace.Set {
 		return trace.JetstreamSet(sc.Invocations, sc.RPM, seed)

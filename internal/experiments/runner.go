@@ -105,7 +105,7 @@ func sweepResults(ctx context.Context, o Options, cells []cell) ([][]*platform.R
 		cfg := c.cfg
 		cfg.Seed = seed
 		cfg.Tracer = unitTracer(blk, i)
-		return runPlatform(o, cfg, c.mkSet(seed))
+		return runPlatform(cfg, c.mkSet(seed))
 	})
 	if err != nil {
 		return nil, err
@@ -125,7 +125,7 @@ func singleRuns(ctx context.Context, o Options, cells []cell) ([]*platform.Resul
 		cfg := cells[i].cfg
 		cfg.Seed = o.Seed
 		cfg.Tracer = unitTracer(blk, i)
-		return runPlatform(o, cfg, cells[i].mkSet(o.Seed))
+		return runPlatform(cfg, cells[i].mkSet(o.Seed))
 	})
 }
 

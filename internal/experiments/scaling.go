@@ -75,7 +75,7 @@ func Fig12Scalability(ctx context.Context, o Options) (Renderer, error) {
 	scaled, err := fanOut(ctx, o, len(pts), func(i int) ScalePoint {
 		pt := pts[i]
 		cfg := platform.PresetLibra(platform.Jetstream(pt.nodes, pt.scheds), o.Seed)
-		r := runPlatform(o, cfg, trace.ConcurrentBurst(pt.invs, o.Seed))
+		r := runPlatform(cfg, trace.ConcurrentBurst(pt.invs, o.Seed))
 		sp := ScalePoint{
 			Nodes: pt.nodes, Schedulers: pt.scheds, Invocations: pt.invs,
 			Completion: r.CompletionTime,

@@ -119,28 +119,11 @@ type UtilizationTracker struct {
 	capCPU  float64
 	capMem  float64
 	ticker  *clock.Ticker
-
-	// Lane-split sampling (sharded clocks): one ticker per lane sums the
-	// integer usage vectors of the nodes its lane owns (id % lanes), and
-	// each lane's merge closure folds its partial into the pending totals
-	// at the barrier. The sample finalizes when the last lane merges.
-	// Integer vector sums are order-free, and the serial path converts to
-	// floats the same single time, so both paths produce bit-identical
-	// samples.
-	laneTickers []*clock.Ticker
-	partUsage   []resources.Vector
-	partAlloc   []resources.Vector
-	pendUsage   resources.Vector
-	pendAlloc   resources.Vector
-	pendLanes   int
 }
 
 // NewUtilizationTracker starts sampling every interval seconds until
 // Stop is called. Sampling keeps the event queue non-empty, so callers
-// must Stop it (or use RunUntil) to let the simulation drain. On a
-// sharded clock the per-node scan splits across lanes under the node-
-// event ownership rule, so sampling reads no state another lane may be
-// mutating in the same batch.
+// must Stop it (or use RunUntil) to let the simulation drain.
 func NewUtilizationTracker(clk clock.Clock, nodes []*cluster.Node, interval float64) *UtilizationTracker {
 	// Long replays collect hours of virtual time at 1-sample-per-second;
 	// seed the buffer so the early growth reallocations never show up in
@@ -152,65 +135,25 @@ func NewUtilizationTracker(clk clock.Clock, nodes []*cluster.Node, interval floa
 		t.capCPU += c.CPU.Cores()
 		t.capMem += float64(c.Mem)
 	}
-	if sh, ok := clk.(clock.Sharder); ok {
-		t.armLanes(sh, interval)
-	} else {
-		t.ticker = clock.Every(clk, interval, t.sample)
-	}
+	t.ticker = clock.Every(clk, interval, t.sample)
 	return t
 }
 
-// armLanes splits the sampling scan across the sharded clock's lanes.
-// Every lane gets a ticker even when it currently owns no nodes: the
-// sample only finalizes once all lanes have merged, and an elastic
-// scale-up can hand a previously empty lane its first node mid-run.
-func (t *UtilizationTracker) armLanes(sh clock.Sharder, interval float64) {
-	lanes := sh.Lanes()
-	t.partUsage = make([]resources.Vector, lanes)
-	t.partAlloc = make([]resources.Vector, lanes)
-	for k := 0; k < lanes; k++ {
-		k := k
-		lane := sh.Lane(k)
-		merge := func() {
-			t.pendUsage = t.pendUsage.Add(t.partUsage[k])
-			t.pendAlloc = t.pendAlloc.Add(t.partAlloc[k])
-			t.pendLanes++
-			if t.pendLanes == len(t.partUsage) {
-				t.finalizeSample()
-			}
-		}
-		t.laneTickers = append(t.laneTickers, clock.Every(lane, interval, func() {
-			var u, a resources.Vector
-			for i := k; i < len(t.nodes); i += lanes {
-				n := t.nodes[i]
-				u = u.Add(n.UsageNow())
-				a = a.Add(n.AllocatedNow())
-			}
-			t.partUsage[k], t.partAlloc[k] = u, a
-			lane.Emit(merge)
-		}))
-	}
-}
-
+// sample sums the nodes' integer usage and allocation vectors, then
+// converts the totals to floats once, so a sample does not depend on
+// the order the nodes are visited in.
 func (t *UtilizationTracker) sample() {
 	var u, a resources.Vector
 	for _, n := range t.nodes {
 		u = u.Add(n.UsageNow())
 		a = a.Add(n.AllocatedNow())
 	}
-	t.pendUsage, t.pendAlloc = u, a
-	t.finalizeSample()
-}
-
-// finalizeSample converts the pending integer totals into one float
-// sample and resets the accumulator for the next round.
-func (t *UtilizationTracker) finalizeSample() {
 	s := UtilizationSample{
 		T:        t.clk.Now(),
-		CPUUsed:  t.pendUsage.CPU.Cores(),
-		MemUsed:  float64(t.pendUsage.Mem),
-		CPUAlloc: t.pendAlloc.CPU.Cores(),
-		MemAlloc: float64(t.pendAlloc.Mem),
+		CPUUsed:  u.CPU.Cores(),
+		MemUsed:  float64(u.Mem),
+		CPUAlloc: a.CPU.Cores(),
+		MemAlloc: float64(a.Mem),
 	}
 	// A tracker over an empty (or zero-capacity) node set reports zero
 	// fractions rather than dividing to NaN.
@@ -221,8 +164,6 @@ func (t *UtilizationTracker) finalizeSample() {
 		s.MemFrac = s.MemUsed / t.capMem
 	}
 	t.samples = append(t.samples, s)
-	t.pendUsage, t.pendAlloc = resources.Vector{}, resources.Vector{}
-	t.pendLanes = 0
 }
 
 // Extend adds a node (joined by scale-up) to the sampled set and counts
@@ -249,17 +190,10 @@ func (t *UtilizationTracker) SetCapacity(cpuCores, memMB float64) {
 	t.capMem = memMB
 }
 
-// Stop halts sampling and cancels the armed sampling events, so a
-// stopped tracker leaves nothing in the engine's queue and the
-// simulation drains without stepping one more empty interval.
-func (t *UtilizationTracker) Stop() {
-	if t.ticker != nil {
-		t.ticker.Stop()
-	}
-	for _, tk := range t.laneTickers {
-		tk.Stop()
-	}
-}
+// Stop halts sampling and cancels the armed sampling event, so a stopped
+// tracker leaves nothing in the engine's queue and the simulation drains
+// without stepping one more empty interval.
+func (t *UtilizationTracker) Stop() { t.ticker.Stop() }
 
 // Samples returns the collected observations.
 func (t *UtilizationTracker) Samples() []UtilizationSample { return t.samples }

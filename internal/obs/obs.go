@@ -282,45 +282,3 @@ func (b *Block) Events(i int) []Event { return b.recs[i].Events() }
 
 // Units returns the block's unit count.
 func (b *Block) Units() int { return len(b.recs) }
-
-// LaneBuffer adapts a Tracer for callbacks that run on one lane of a
-// sharded clock. Lane callbacks at the same instant run concurrently, so
-// they cannot write the shared base Tracer directly; instead each Record
-// parks the event in a per-lane buffer and queues a one-event flush
-// through the lane's emission hook. The sharded engine replays emissions
-// at the merge barrier in slot order — the order a serial engine would
-// have run the recording callbacks — so the base Tracer observes the
-// exact serial interleaving, one event per emission. Outside a parallel
-// batch the hook runs the flush inline and the buffer never grows.
-//
-// The flush closure is bound once at construction: steady-state
-// recording allocates nothing beyond the buffer's amortized growth.
-type LaneBuffer struct {
-	base     Tracer
-	emit     func(func())
-	buf      []Event
-	head     int
-	flushOne func()
-}
-
-// NewLaneBuffer wraps base for use from one lane's callbacks. emit is
-// the lane's barrier-emission hook (clock.Lane.Emit).
-func NewLaneBuffer(base Tracer, emit func(func())) *LaneBuffer {
-	b := &LaneBuffer{base: base, emit: emit}
-	b.flushOne = func() {
-		ev := b.buf[b.head]
-		b.head++
-		if b.head == len(b.buf) {
-			b.buf = b.buf[:0]
-			b.head = 0
-		}
-		b.base.Record(ev)
-	}
-	return b
-}
-
-// Record implements Tracer: buffer the event, queue its flush.
-func (b *LaneBuffer) Record(ev Event) {
-	b.buf = append(b.buf, ev)
-	b.emit(b.flushOne)
-}

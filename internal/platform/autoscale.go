@@ -357,9 +357,7 @@ func (p *Platform) addNode() *cluster.Node {
 	if n == nil {
 		id := len(p.nodes)
 		n = cluster.NewNode(p.clk, id, p.scale.groupCap)
-		// wireNode mirrors New's hook-up exactly, including the lane
-		// pinning on a sharded clock: the fresh node's id decides its
-		// lane, so the fleet size at join time is irrelevant.
+		// wireNode mirrors New's hook-up exactly.
 		p.wireNode(n)
 		p.nodes = append(p.nodes, n)
 		if p.pings != nil {

@@ -9,16 +9,15 @@ import (
 	"libra/internal/sim"
 )
 
-// The lane-split health-ping scan fires on every lane every PingInterval
-// for the whole life of a replay, so per-fire allocation there is pure
-// steady-state churn (the PR 5 drain-path standard). Everything on the
-// path is bound once at arm time or reused fire over fire: the ticker's
-// re-arm closure, the per-lane scan and emit closures, the per-node
-// entry buffers, and the engine's event records and slot buffers. This
-// pins the whole round — scan, barrier emit, index refresh, re-arm — at
-// zero steady-state allocations.
-func TestPingLaneScanSteadyStateZeroAllocs(t *testing.T) {
-	eng := sim.NewSharded(4)
+// The health-ping scan fires every PingInterval for the whole life of
+// a replay, so per-fire allocation there is pure steady-state churn,
+// held to the drain path's zero-alloc standard. Everything on the path
+// is bound once at arm time or reused fire over fire: the ticker's
+// re-arm closure, the per-node entry buffers, and the engine's event
+// records. This pins the whole round — scan, index refresh, re-arm —
+// at zero steady-state allocations.
+func TestPingScanSteadyStateZeroAllocs(t *testing.T) {
+	eng := sim.NewEngine()
 	cfg := PresetLibra(MultiNode(), 7)
 	cfg.PingInterval = 1
 	p, err := New(eng, cfg)
@@ -34,13 +33,13 @@ func TestPingLaneScanSteadyStateZeroAllocs(t *testing.T) {
 	p.arm()
 
 	// Warm up until every buffer reaches steady state, measure a window
-	// of rounds, then stop the tickers so the engine drains. The
-	// boundary probes run as global events between ping batches.
+	// of rounds, then stop the ticker so the engine drains. The
+	// boundary probes run as their own events between ping rounds.
 	const warmRounds, measureRounds = 16, 100
 	var m0, m1 runtime.MemStats
 	// Warmup probes prime what the boundary events themselves touch —
-	// the global lane's event-record free list grows on release, and
-	// that growth must not be charged to the ping path — so the measured
+	// the engine's event-record free list grows on release, and that
+	// growth must not be charged to the ping path — so the measured
 	// window sees only the ping machinery itself.
 	for i := 1; i <= 4; i++ {
 		eng.At(float64(i)+0.5, func() { runtime.ReadMemStats(&m0) })
@@ -55,7 +54,7 @@ func TestPingLaneScanSteadyStateZeroAllocs(t *testing.T) {
 	eng.Run()
 
 	if d := m1.Mallocs - m0.Mallocs; d != 0 {
-		t.Fatalf("ping lane scan allocated %d times over %d rounds, want 0",
+		t.Fatalf("ping scan allocated %d times over %d rounds, want 0",
 			d, measureRounds)
 	}
 }

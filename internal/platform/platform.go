@@ -339,27 +339,15 @@ type Platform struct {
 	shards []*scheduler.Shard
 	est    profiler.Estimator
 
-	// sharder is the clock's lane interface when it has one (the sharded
-	// sim engine), nil otherwise. When set, every node's event stream is
-	// pinned to lane nodeID % Lanes() and the per-node hot path runs on
-	// lane goroutines (DESIGN.md §11d).
-	sharder clock.Sharder
-
-	ready    readyQueue
-	inflight map[harvest.ID]*queued
-	freeQ    []*queued
-	sgCounts map[string]int // per-function safeguard triggers (OOM retreat)
-	pings    map[int]*poolStatus
-	// pingTickers holds the health-ping tickers: one on a serial clock,
-	// one per lane on a sharded clock (arm splits the node scan across
-	// lanes). pingEmit are the per-lane merge-barrier closures that
-	// replay covIndex updates in global node order; pre-allocated so the
-	// steady-state ping path stays allocation-free.
-	pingTickers []*clock.Ticker
-	pingEmit    []func()
-	remaining   int
-	completed   int
-	result      *Result
+	ready      readyQueue
+	inflight   map[harvest.ID]*queued
+	freeQ      []*queued
+	sgCounts   map[string]int // per-function safeguard triggers (OOM retreat)
+	pings      map[int]*poolStatus
+	pingTicker *clock.Ticker
+	remaining  int
+	completed  int
+	result     *Result
 
 	// Live-serving mode (StartServing): arrivals stream in open-endedly,
 	// per-invocation outcomes are reported through hooks instead of being
@@ -452,13 +440,9 @@ func (b *pendBucket) pop() {
 	}
 }
 
-// poolStatus is one node's last health-ping snapshot. fresh marks a
-// snapshot taken in the current ping round on a sharded clock: the
-// merge-barrier closure must skip nodes that were down when their lane
-// scanned them, exactly as the serial scan skips them inline.
+// poolStatus is one node's last health-ping snapshot.
 type poolStatus struct {
 	cpu, mem []harvest.Entry
-	fresh    bool
 }
 
 type queued struct {
@@ -488,9 +472,6 @@ func New(clk clock.Clock, cfg Config) (*Platform, error) {
 		inflight:  make(map[harvest.ID]*queued),
 		sgCounts:  make(map[string]int),
 		baseNodes: cfg.Nodes,
-	}
-	if sh, ok := clk.(clock.Sharder); ok {
-		p.sharder = sh
 	}
 	total := cfg.Nodes
 	if cfg.Autoscale.Enabled() {
@@ -573,8 +554,7 @@ func New(clk clock.Clock, cfg Config) (*Platform, error) {
 
 // wireNode attaches the platform-side hooks a worker node needs —
 // completion/failure callbacks, pool lend order, tracing, live-mode
-// index dirty-marking — and, on a sharded clock, pins the node's event
-// stream to its lane. New wires the boot fleet through it and addNode
+// index dirty-marking. New wires the boot fleet through it and addNode
 // every elastic join, so both paths produce identically-wired nodes.
 func (p *Platform) wireNode(n *cluster.Node) {
 	n.OnComplete = p.onComplete
@@ -582,23 +562,7 @@ func (p *Platform) wireNode(n *cluster.Node) {
 	n.CPUPool.Order = p.cfg.PoolLendOrder
 	n.MemPool.Order = p.cfg.PoolLendOrder
 	id := n.ID()
-	tr := p.cfg.Tracer
-	var lane clock.Lane
-	if p.sharder != nil {
-		// Ownership rule: node id pins to lane id % Lanes(). The mapping
-		// depends on nothing but the id, so it survives every membership
-		// change — a node that retires and later revives, even onto a
-		// different fleet size, lands back on the same lane.
-		lane = p.sharder.Lane(id % p.sharder.Lanes())
-		n.SetLane(lane)
-		if tr != nil {
-			// Lane callbacks cannot write the shared tracer directly; the
-			// buffer replays their events at the merge barrier in the
-			// exact order a serial engine would have recorded them.
-			tr = obs.NewLaneBuffer(tr, lane.Emit)
-		}
-	}
-	if tr != nil {
+	if tr := p.cfg.Tracer; tr != nil {
 		n.Tracer = tr
 		n.CPUPool.SetTracer(tr, id, "cpu")
 		n.MemPool.SetTracer(tr, id, "mem")
@@ -606,16 +570,9 @@ func (p *Platform) wireNode(n *cluster.Node) {
 	if p.covIndex != nil && p.pings == nil {
 		// Live-pool mode (negative PingInterval): decisions read pool state
 		// directly, so the pools dirty-mark the index on every mutation.
-		// On a lane the mark defers to the merge barrier: MarkDirty is
-		// idempotent and only read by global-lane placement code, which
-		// never overlaps a batch, so deferral is unobservable.
 		mark := func() { p.covIndex.MarkDirty(id) }
-		hook := mark
-		if lane != nil {
-			hook = func() { lane.Emit(mark) }
-		}
-		n.CPUPool.SetIndexHook(hook)
-		n.MemPool.SetIndexHook(hook)
+		n.CPUPool.SetIndexHook(mark)
+		n.MemPool.SetIndexHook(mark)
 	}
 }
 
@@ -666,23 +623,22 @@ func (p *Platform) Run(set trace.Set) *Result {
 // the backlog sampler, and the fault injector.
 func (p *Platform) arm() {
 	if p.pings != nil {
-		if p.sharder != nil {
-			p.armPingLanes(p.sharder)
-		} else {
-			p.pingTickers = append(p.pingTickers, clock.Every(p.clk, p.cfg.PingInterval, func() {
-				for _, n := range p.nodes {
-					if n.Down() {
-						continue // a down node sends no health pings
-					}
-					st := p.pings[n.ID()]
-					st.cpu = n.CPUPool.AppendEntries(st.cpu[:0])
-					st.mem = n.MemPool.AppendEntries(st.mem[:0])
-					if p.covIndex != nil {
-						p.covIndex.UpdateSnapshot(n.ID(), st.cpu, st.mem)
-					}
+		// The scan reuses every node's entry buffers fire over fire, so
+		// the steady-state ping path allocates nothing
+		// (TestPingScanSteadyStateZeroAllocs pins this).
+		p.pingTicker = clock.Every(p.clk, p.cfg.PingInterval, func() {
+			for _, n := range p.nodes {
+				if n.Down() {
+					continue // a down node sends no health pings
 				}
-			}))
-		}
+				st := p.pings[n.ID()]
+				st.cpu = n.CPUPool.AppendEntries(st.cpu[:0])
+				st.mem = n.MemPool.AppendEntries(st.mem[:0])
+				if p.covIndex != nil {
+					p.covIndex.UpdateSnapshot(n.ID(), st.cpu, st.mem)
+				}
+			}
+		})
 	}
 	if p.cfg.TrackBacklog {
 		p.backlogTicker = clock.Every(p.clk, p.cfg.SampleInterval, func() {
@@ -700,58 +656,6 @@ func (p *Platform) arm() {
 		})
 	}
 	p.armScaler()
-}
-
-// armPingLanes splits the per-node health-ping scan across a sharded
-// clock's parallel lanes, one ticker per lane, each scanning exactly
-// the nodes its lane owns (id % Lanes() == k). The scan shares the
-// node-event ownership rule because it reads pool state the owning
-// lane's execution events may be mutating in the same batch — any
-// other partition would be a cross-lane race.
-//
-// The pool copies run concurrently across lanes; the coverage-index
-// updates — shared scheduler state feeding placement — defer to the
-// merge barrier via Lane.Emit, replaying in lane-major node order
-// (lane 0's stripe, then lane 1's, …). That differs from the serial
-// scan's ascending-id order, which is fine: UpdateSnapshot touches only
-// node-local index state and the candidate list is order-free
-// (selection tie-breaks on node id), so replays stay byte-identical —
-// pinned by the lane-invariance sweep and the simtest matrix.
-//
-// Every closure here is bound once at arm time and the entry buffers
-// are reused fire over fire, so the steady-state ping path allocates
-// nothing (TestPingLaneScanSteadyStateZeroAllocs pins this).
-func (p *Platform) armPingLanes(sh clock.Sharder) {
-	lanes := sh.Lanes()
-	p.pingEmit = make([]func(), lanes)
-	for k := 0; k < lanes; k++ {
-		k := k
-		lane := sh.Lane(k)
-		p.pingEmit[k] = func() {
-			for i := k; i < len(p.nodes); i += lanes {
-				n := p.nodes[i]
-				if st := p.pings[n.ID()]; st.fresh {
-					p.covIndex.UpdateSnapshot(n.ID(), st.cpu, st.mem)
-				}
-			}
-		}
-		p.pingTickers = append(p.pingTickers, clock.Every(lane, p.cfg.PingInterval, func() {
-			for i := k; i < len(p.nodes); i += lanes {
-				n := p.nodes[i]
-				st := p.pings[n.ID()]
-				if n.Down() {
-					st.fresh = false // a down node sends no health pings
-					continue
-				}
-				st.fresh = true
-				st.cpu = n.CPUPool.AppendEntries(st.cpu[:0])
-				st.mem = n.MemPool.AppendEntries(st.mem[:0])
-			}
-			if p.covIndex != nil {
-				lane.Emit(p.pingEmit[k])
-			}
-		}))
-	}
 }
 
 // collect is the shared run epilogue: fold the trackers and per-node
@@ -1325,12 +1229,11 @@ func (p *Platform) finish() {
 	}
 }
 
-// stopPing halts the health-ping tickers so the event queue can drain.
+// stopPing halts the health-ping ticker so the event queue can drain.
 func (p *Platform) stopPing() {
-	for _, tk := range p.pingTickers {
-		tk.Stop()
+	if p.pingTicker != nil {
+		p.pingTicker.Stop()
 	}
-	p.pingTickers = p.pingTickers[:0]
 }
 
 // newQueued returns a fresh or recycled scheduling record.

@@ -27,13 +27,13 @@ func biggestApp(t *testing.T) *function.Spec {
 	return best
 }
 
-// TestOverShardedReplayTerminates pins the liveness guard: dividing a
+// TestTooManyShardsReplayTerminates pins the liveness guard: dividing a
 // 24-core node eight ways yields 3-core shard slices, so the mix's
 // wider apps can never be admitted. Before the unplaceable exit this
 // replay hung forever — the periodic tickers kept the event heap
 // non-empty while the ready queue starved. Now the impossible work is
 // abandoned at admission and everything placeable completes.
-func TestOverShardedReplayTerminates(t *testing.T) {
+func TestTooManyShardsReplayTerminates(t *testing.T) {
 	set := trace.JetstreamSet(300, 900, 42)
 	slice := JetstreamCap
 	slice.CPU /= 8

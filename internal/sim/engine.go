@@ -3,10 +3,13 @@
 // cluster, the harvest pools and the schedulers run: every latency the
 // experiments report is virtual time accumulated by events scheduled here.
 //
-// The engine is single-goroutine by design. Determinism matters more than
-// parallel speed for reproducing the paper's figures: two events scheduled
-// for the same instant fire in scheduling order (a monotone sequence number
-// breaks ties), so a run is a pure function of (workload, seed).
+// The engine is single-goroutine by design, and it is the only
+// virtual-time engine. Determinism matters more than parallel speed for
+// reproducing the paper's figures: two events scheduled for the same
+// instant fire in scheduling order (a monotone sequence number breaks
+// ties), so a run is a pure function of (workload, seed). Parallelism
+// lives one level up, across independent runs (the experiments worker
+// pool), where it needs no coordination.
 //
 // Engine is the virtual-time implementation of clock.Clock — the same
 // platform code runs live on the wall-clock driver in internal/clock.
@@ -37,7 +40,6 @@ type Event struct {
 	at       float64
 	seq      uint64
 	gen      uint32
-	lane     int32 // owning lane in the sharded engine; always 0 here
 	fn       func()
 	canceled bool
 	index    int // heap index, -1 once popped

@@ -2,7 +2,6 @@ package simtest_test
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"libra/internal/cluster"
@@ -15,37 +14,27 @@ import (
 	"libra/internal/trace"
 )
 
-// laneEngines is the full driver line-up the lane-affinity cases must
-// agree across: serial, sharded at two and at GOMAXPROCS lanes, and the
-// wall driver under mocked time.
-func laneEngines() []simtest.EngineFactory {
-	lanes := runtime.GOMAXPROCS(0)
-	if lanes < 3 {
-		lanes = 3
-	}
-	return []simtest.EngineFactory{
-		simtest.Serial(),
-		simtest.ShardedLanes(2),
-		simtest.ShardedLanes(lanes),
-		simtest.WallManual(),
-	}
+// engines is the driver line-up the chaos cases must agree across: the
+// serial sim engine and the wall driver under mocked time.
+func engines() []simtest.EngineFactory {
+	return []simtest.EngineFactory{simtest.Serial(), simtest.WallManual()}
 }
 
-// TestCrashOOMOnOwnedNodeMidBatchReplays pins the hardest interleaving
-// the lane-pinned hot path has: a node crash or OOM kill landing at an
-// instant where that node's lane is mid-batch, so the abort runs on the
-// lane while its cross-node tail (failure hook, retry re-entry, shard
-// release) is deferred to the merge barrier. The scenario is tuned so
-// both fault kinds genuinely fire mid-flight: the memory-heavy MultiSet
-// workload keeps every node's lane busy at the crash instants, a 25%
-// straggler fraction stretches executions across them, and the variant
-// is the unsafeguarded Freyr — Libra's safeguard exists to keep the OOM
-// column at zero, so only an unsafeguarded harvester can land real OOM
-// kills on lane-owned nodes. (A much shorter MTBF would paradoxically
-// erase the OOM kills: crashes abort executions before their memory
-// peaks are ever reached.) The reference run must actually observe both
-// fault kinds, or the case pins nothing.
-func TestCrashOOMOnOwnedNodeMidBatchReplays(t *testing.T) {
+// TestCrashOOMMidFlightReplays pins the hardest interleaving the
+// fault path has: a node crash or OOM kill landing while that node has
+// executions in flight, so the abort runs mid-execution and its
+// cross-node tail (failure hook, retry re-entry, shard release) follows
+// as a zero-delay event. The scenario is tuned so both fault kinds
+// genuinely fire mid-flight: the memory-heavy MultiSet workload keeps
+// every node busy at the crash instants, a 25% straggler fraction
+// stretches executions across them, and the variant is the
+// unsafeguarded Freyr — Libra's safeguard exists to keep the OOM column
+// at zero, so only an unsafeguarded harvester can land real OOM kills.
+// (A much shorter MTBF would paradoxically erase the OOM kills: crashes
+// abort executions before their memory peaks are ever reached.) The
+// reference run must actually observe both fault kinds, or the case
+// pins nothing.
+func TestCrashOOMMidFlightReplays(t *testing.T) {
 	chaos := faults.Config{
 		CrashMTBF:         40,
 		MTTR:              5,
@@ -53,30 +42,29 @@ func TestCrashOOMOnOwnedNodeMidBatchReplays(t *testing.T) {
 		StragglerFraction: 0.25,
 	}
 	results := simtest.Run(t, simtest.Case{
-		Name: "lane-chaos",
+		Name: "crash-oom-mid-flight",
 		Config: core.Config{
 			Variant: core.VariantFreyr, Testbed: core.TestbedMultiNode,
 			Seed: 19, Faults: chaos,
 		},
 		Workload: trace.MultiSet(240, 19),
-	}, laneEngines()...)
+	}, engines()...)
 	rep := results[0].Report
 	if rep.Crashes == 0 {
-		t.Fatal("schedule injected no crashes; the mid-batch case exercises nothing")
+		t.Fatal("schedule injected no crashes; the mid-flight case exercises nothing")
 	}
 	if rep.OOMKills == 0 {
-		t.Fatal("schedule injected no OOM kills; the mid-batch case exercises nothing")
+		t.Fatal("schedule injected no OOM kills; the mid-flight case exercises nothing")
 	}
 }
 
-// TestAutoscaleLaneRemapReplays pins the membership half of the lane
-// ownership rule: a burst scales the group up, the following lull drains
-// and retires the joiners, and a second burst revives members onto a
-// fleet whose size differs from the one they first joined. Because the
-// lane of node i is i % lanes — a function of the id alone — retirement
-// and revival never move a node between lanes, and the replay must stay
-// byte-identical across every driver while the fleet reshapes.
-func TestAutoscaleLaneRemapReplays(t *testing.T) {
+// TestAutoscaleRetireReviveReplays pins elastic membership into the
+// sim/live parity guarantee: a burst scales the group up, the following
+// lull drains and retires the joiners, and a second burst revives
+// members onto a fleet whose size differs from the one they first
+// joined. The replay must stay byte-identical across both drivers
+// while the fleet reshapes.
+func TestAutoscaleRetireReviveReplays(t *testing.T) {
 	scale := platform.AutoscaleConfig{
 		Group:    cluster.NodeGroup{Name: "remap", Max: 6},
 		Cooldown: 2,
@@ -105,13 +93,13 @@ func TestAutoscaleLaneRemapReplays(t *testing.T) {
 	}
 
 	results := simtest.Run(t, simtest.Case{
-		Name: "lane-remap",
+		Name: "retire-revive",
 		Config: core.Config{
 			Variant: core.VariantLibra, Testbed: core.TestbedMultiNode,
 			Seed: 23, Autoscale: scale,
 		},
 		Workload: set,
-	}, laneEngines()...)
+	}, engines()...)
 
 	rep := results[0].Report
 	if rep.ScaleUps < 2 || rep.ScaleDowns < 1 {
@@ -144,6 +132,6 @@ func TestAutoscaleLaneRemapReplays(t *testing.T) {
 		t.Fatal("no scale-up after a retirement: nothing revived")
 	}
 	if reviveSize == peakBefore {
-		t.Fatalf("revival rejoined a fleet of the pre-drain peak size (%v); the remap case wants a different size", reviveSize)
+		t.Fatalf("revival rejoined a fleet of the pre-drain peak size (%v); the revive case wants a different size", reviveSize)
 	}
 }

@@ -1,7 +1,6 @@
 package simtest_test
 
 import (
-	"runtime"
 	"testing"
 
 	"libra/internal/cluster"
@@ -13,13 +12,17 @@ import (
 	"libra/internal/trace"
 )
 
-// TestShardedMatchesSerialMatrix is the acceptance matrix for the
-// sharded engine: every (variant × seed × faults × autoscale) cell must
-// replay byte-identically — report and full lifecycle trace — on the
-// serial engine and on the sharded engine at several lane counts. Under
-// -short only one representative cell per variant runs (the fully-loaded
-// one: faults on, autoscale on); the CI parallel-equiv job runs the full
-// cross product under -race.
+// TestShardedMatchesSerialMatrix is the sim/live parity matrix: every
+// (variant × seed × faults × autoscale) cell must replay
+// byte-identically — report and full lifecycle trace — on the serial
+// sim engine and on the wall driver under a manual time source, the
+// live-serving code path replayed deterministically. Under -short only
+// one representative cell per variant runs (the fully-loaded one:
+// faults on, autoscale on); the full run covers the cross product.
+//
+// The name predates the removal of the sharded event engine this matrix
+// was first written against; it is kept so the cell identities
+// (variant/seed/faults/autoscale subtests) stay stable across history.
 func TestShardedMatchesSerialMatrix(t *testing.T) {
 	chaos := faults.Config{CrashMTBF: 40, MTTR: 5, OOMKill: true, StragglerFraction: 0.1}
 	elastic := platform.AutoscaleConfig{
@@ -48,9 +51,5 @@ func TestShardedMatchesSerialMatrix(t *testing.T) {
 		m.Autoscale = m.Autoscale[1:]
 	}
 
-	lanes := runtime.GOMAXPROCS(0)
-	if lanes < 3 {
-		lanes = 3
-	}
-	m.Run(t, simtest.Serial(), simtest.ShardedLanes(2), simtest.ShardedLanes(lanes))
+	m.Run(t, simtest.Serial(), simtest.WallManual())
 }

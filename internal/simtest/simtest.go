@@ -1,10 +1,10 @@
 // Package simtest is the differential-replay harness that pins the
 // repo's strongest invariant: a platform run is a pure function of
 // (config, workload) and must not depend on which clock implementation
-// drives it. Every clock driver — the serial sim engine, the sharded
-// lane engine at any lane count, the wall driver under a manual time
-// source — must produce byte-identical reports and byte-identical
-// invocation-lifecycle traces for the same case.
+// drives it. Both clock drivers — the serial sim engine and the wall
+// driver under a manual time source (the live-serving code path,
+// replayed deterministically) — must produce byte-identical reports and
+// byte-identical invocation-lifecycle traces for the same case.
 //
 // Tests describe a Case (config + workload), pick engine factories, and
 // call Run: the harness replays the case once per engine, audits each
@@ -16,6 +16,7 @@ package simtest
 
 import (
 	"reflect"
+	"strconv"
 	"testing"
 
 	"libra/internal/clock"
@@ -38,16 +39,6 @@ func Serial() EngineFactory {
 	return EngineFactory{Name: "sim", New: func() clock.Clock { return sim.NewEngine() }}
 }
 
-// ShardedLanes is the lane-parallel engine with n lanes. n = 1 keeps
-// the merge machinery but no concurrency; n > 1 runs same-instant lane
-// events on parallel goroutines behind the deterministic merge barrier.
-func ShardedLanes(n int) EngineFactory {
-	return EngineFactory{
-		Name: "sharded-" + itoa(n),
-		New:  func() clock.Clock { return sim.NewSharded(n) },
-	}
-}
-
 // WallManual is the live wall-clock driver under a mocked time source:
 // the live-serving code path, replayed deterministically.
 func WallManual() EngineFactory {
@@ -55,20 +46,6 @@ func WallManual() EngineFactory {
 		Name: "wall-manual",
 		New:  func() clock.Clock { return clock.NewDriver(clock.NewManualSource()) },
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }
 
 // Case is one replay scenario: a core configuration plus the workload
@@ -201,7 +178,7 @@ func (m Matrix) Cases() []Case {
 			for _, f := range faults {
 				for _, a := range scale {
 					cases = append(cases, Case{
-						Name: string(v) + "/seed" + itoa(int(seed)) + "/" + f.Name + "/" + a.Name,
+						Name: string(v) + "/seed" + strconv.FormatInt(seed, 10) + "/" + f.Name + "/" + a.Name,
 						Config: core.Config{
 							Variant:   v,
 							Testbed:   m.Testbed,
