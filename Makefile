@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check fmt-check vet bench bench-json bench-pr8 quick report examples clean figs4-smoke scale-race figr1
+.PHONY: all build test race check fmt-check vet perfbench-check bench bench-json bench-pr8 quick report examples clean figs4-smoke scale-race figr1
 
 # Default verify path: formatting, vet, build, tests — then the race
 # detector over the whole module (the parallel experiment harness must
@@ -28,7 +28,14 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-check: fmt-check vet build test
+# perfbench/ is its own Go module, so ./... at the root never compiles
+# it; vet and test it here so a clock/sim/platform API change cannot
+# break the benchmark unseen.
+perfbench-check:
+	$(GO) -C perfbench vet .
+	$(GO) -C perfbench test .
+
+check: fmt-check vet build test perfbench-check
 
 # benchstat-comparable output: pipe two runs into benchstat to compare.
 bench:

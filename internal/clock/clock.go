@@ -22,67 +22,13 @@
 //     no-op on the zero Handle, an already-fired or already-cancelled
 //     event, and a stale handle to a recycled record (generation
 //     check) — callers routinely cancel events that may have fired.
+//
+// Both drivers keep their events in the one Queue defined here: an
+// (at, seq) heap with pooled, generation-checked records and lazy
+// cancel. What differs between them is policy only — the sim panics on
+// a past At while the wall Driver clamps it, and the Driver adds a
+// mutex, a time Source to wait on, and Now pinned during callbacks.
 package clock
-
-// Record is the implementation-owned state behind a Handle. Drivers
-// recycle records after an event fires, bumping the generation so every
-// outstanding Handle to the old occupant goes stale.
-type Record interface {
-	// Gen returns the record's current generation. A Handle is live
-	// while its snapshot of the generation still matches.
-	Gen() uint32
-	// EventCanceled reports whether the record's current occupant has
-	// been cancelled but not yet collected.
-	EventCanceled() bool
-	// EventTime returns the occupant's scheduled fire time.
-	EventTime() float64
-}
-
-// Handle identifies a scheduled callback for cancellation. The zero
-// Handle is inert: Cancel on it is a no-op and Live reports false. A
-// handle expires as soon as its event fires or its cancellation is
-// collected — the underlying record may then be recycled, and the stale
-// handle keeps refusing to act on the new occupant (generation check).
-type Handle struct {
-	rec Record
-	gen uint32
-}
-
-// NewHandle builds a Handle for a driver's event record at its current
-// generation. Only Clock implementations call this.
-func NewHandle(rec Record, gen uint32) Handle { return Handle{rec: rec, gen: gen} }
-
-// Impl returns the driver-owned record behind the handle (nil for the
-// zero Handle). Drivers type-assert it back to their concrete record.
-func (h Handle) Impl() Record { return h.rec }
-
-// Gen returns the generation snapshot taken when the handle was issued.
-func (h Handle) Gen() uint32 { return h.gen }
-
-// Live reports whether the handle still refers to a queued event, i.e.
-// the event has neither fired nor been dropped after cancellation. A
-// cancelled event that is still lazily parked in a driver's queue counts
-// as live in the bookkeeping sense; use Canceled to distinguish.
-func (h Handle) Live() bool { return h.rec != nil && h.rec.Gen() == h.gen }
-
-// Canceled reports whether Cancel was called on the event the handle
-// refers to. Once the event fires or its record is recycled this
-// returns false, matching the zero Handle.
-func (h Handle) Canceled() bool { return h.Live() && h.rec.EventCanceled() }
-
-// Time returns the scheduled fire time of the event, or NaN if the
-// handle no longer refers to a queued event.
-func (h Handle) Time() float64 {
-	if !h.Live() {
-		return nan()
-	}
-	return h.rec.EventTime()
-}
-
-func nan() float64 {
-	var zero float64
-	return zero / zero
-}
 
 // Clock is the scheduling substrate shared by the deterministic sim
 // engine and the live wall-clock driver. See the package comment for the

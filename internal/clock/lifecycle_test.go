@@ -83,32 +83,36 @@ func TestLifecycleDoubleCancel(t *testing.T) {
 	})
 }
 
-// The zero Handle and a handle issued by a different Clock
-// implementation are both inert: Cancel must not panic and must not
-// disturb either queue. (A handle from a different *instance* of the
-// same implementation is not protected — the generation check tells
-// implementations apart by record type, not instances — so the foreign
-// clock here is always the other driver family.)
+// The zero Handle and a handle issued by any other clock — another
+// implementation, or another instance of the same one — are inert:
+// Cancel must not panic and must not disturb either queue.
 func TestLifecycleForeignAndZeroHandles(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, c lifecycleRunner) {
-		var other lifecycleRunner = clock.NewDriver(clock.NewManualSource())
+		var sameType, otherType lifecycleRunner = sim.NewEngine(), clock.NewDriver(clock.NewManualSource())
 		if _, isDriver := c.(*clock.Driver); isDriver {
-			other = sim.NewEngine()
+			sameType, otherType = otherType, sameType
 		}
-		otherFired := false
-		foreign := other.Schedule(1, func() { otherFired = true })
+		for _, o := range []struct {
+			name  string
+			other lifecycleRunner
+		}{{"other-type", otherType}, {"same-type", sameType}} {
+			t.Run(o.name, func(t *testing.T) {
+				otherFired := false
+				foreign := o.other.Schedule(1, func() { otherFired = true })
 
-		fired := false
-		c.Schedule(1, func() { fired = true })
-		c.Cancel(clock.Handle{})
-		c.Cancel(foreign)
-		c.Run()
-		if !fired {
-			t.Fatal("own event should fire despite foreign/zero cancels")
-		}
-		other.Run()
-		if !otherFired {
-			t.Fatal("foreign engine's event was disturbed by a cross-implementation Cancel")
+				fired := false
+				c.Schedule(1, func() { fired = true })
+				c.Cancel(clock.Handle{})
+				c.Cancel(foreign)
+				c.Run()
+				if !fired {
+					t.Fatal("own event should fire despite foreign/zero cancels")
+				}
+				o.other.Run()
+				if !otherFired {
+					t.Fatal("foreign clock's event was disturbed by a cross-clock Cancel")
+				}
+			})
 		}
 	})
 }

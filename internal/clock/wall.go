@@ -1,7 +1,6 @@
 package clock
 
 import (
-	"container/heap"
 	"context"
 	"math"
 	"runtime"
@@ -114,80 +113,24 @@ func (s *ManualSource) WaitUntil(t float64, wake <-chan struct{}) {
 	s.mu.Unlock()
 }
 
-// wallEvent is a scheduled callback record owned by the Driver and
-// recycled after it fires, exactly like the sim engine's event records.
-type wallEvent struct {
-	at       float64
-	seq      uint64
-	gen      uint32
-	fn       func()
-	canceled bool
-	index    int // heap index, -1 once popped
-}
-
-// Gen implements clock.Record.
-func (ev *wallEvent) Gen() uint32 { return ev.gen }
-
-// EventCanceled implements clock.Record.
-func (ev *wallEvent) EventCanceled() bool { return ev.canceled }
-
-// EventTime implements clock.Record.
-func (ev *wallEvent) EventTime() float64 { return ev.at }
-
-type wallHeap []*wallEvent
-
-func (h wallHeap) Len() int { return len(h) }
-func (h wallHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h wallHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *wallHeap) Push(x any) {
-	ev := x.(*wallEvent)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *wallHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
-}
-
-// wallCompactMin mirrors the sim engine's lazy-cancel compaction floor.
-const wallCompactMin = 64
-
-// Driver is the wall-clock Clock implementation: the same (time, seq)
-// event queue as the sim engine, driven by physical timers instead of a
-// virtual clock. Unlike the engine it is goroutine-safe — Schedule, At,
-// Cancel and Now may be called from any goroutine (HTTP handlers submit
-// work this way) — but callbacks are serialized on the single goroutine
-// running Run or Serve, preserving the Clock contract the lock-free
-// platform code depends on.
+// Driver is the wall-clock Clock implementation: the same Queue as the
+// sim engine, driven by physical timers instead of a virtual clock.
+// Unlike the engine it is goroutine-safe — Schedule, At, Cancel and Now
+// may be called from any goroutine (HTTP handlers submit work this way)
+// — but callbacks are serialized on the single goroutine running Run or
+// Serve, preserving the Clock contract the lock-free platform code
+// depends on.
 //
 // Construct with NewDriver (mockable Source) or NewWallDriver (machine
 // clock).
 type Driver struct {
-	mu        sync.Mutex
-	src       Source
-	now       float64 // high-water mark of observed/fired time
-	inCB      bool    // a callback is running; Now is pinned to its fire time
-	seq       uint64
-	queue     wallHeap
-	ncanceled int
-	free      []*wallEvent
-	fired     uint64
-	stopped   bool
-	wake      chan struct{}
+	mu      sync.Mutex
+	src     Source
+	now     float64 // high-water mark of observed/fired time
+	inCB    bool    // a callback is running; Now is pinned to its fire time
+	q       Queue
+	stopped bool
+	wake    chan struct{}
 }
 
 // NewDriver returns a Driver over the given time source.
@@ -241,32 +184,14 @@ func (d *Driver) nowLocked() float64 {
 func (d *Driver) Pending() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.queue) - d.ncanceled
+	return d.q.Pending()
 }
 
 // Fired returns how many events have executed so far.
 func (d *Driver) Fired() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.fired
-}
-
-func (d *Driver) alloc() *wallEvent {
-	if n := len(d.free); n > 0 {
-		ev := d.free[n-1]
-		d.free[n-1] = nil
-		d.free = d.free[:n-1]
-		return ev
-	}
-	return &wallEvent{}
-}
-
-func (d *Driver) release(ev *wallEvent) {
-	ev.gen++
-	ev.fn = nil
-	ev.canceled = false
-	ev.index = -1
-	d.free = append(d.free, ev)
+	return d.q.Fired()
 }
 
 // Schedule queues fn to run after delay seconds. Safe from any
@@ -276,7 +201,7 @@ func (d *Driver) Schedule(delay float64, fn func()) Handle {
 		delay = 0
 	}
 	d.mu.Lock()
-	h := d.atLocked(d.nowLocked()+delay, fn)
+	h := d.q.Push(d.nowLocked()+delay, fn)
 	inCB := d.inCB
 	d.mu.Unlock()
 	if !inCB { // the loop schedules most events from callbacks; it is already awake
@@ -297,7 +222,7 @@ func (d *Driver) At(t float64, fn func()) Handle {
 	if now := d.nowLocked(); t < now {
 		t = now
 	}
-	h := d.atLocked(t, fn)
+	h := d.q.Push(t, fn)
 	inCB := d.inCB
 	d.mu.Unlock()
 	if !inCB {
@@ -306,75 +231,16 @@ func (d *Driver) At(t float64, fn func()) Handle {
 	return h
 }
 
-func (d *Driver) atLocked(t float64, fn func()) Handle {
-	ev := d.alloc()
-	ev.at, ev.seq, ev.fn = t, d.seq, fn
-	d.seq++
-	heap.Push(&d.queue, ev)
-	return NewHandle(ev, ev.gen)
-}
-
 // Submit runs fn on the driver's loop goroutine as soon as possible.
 // It is how external goroutines (HTTP handlers, signal handlers) mutate
 // platform state without racing the event loop.
 func (d *Driver) Submit(fn func()) { d.Schedule(0, fn) }
 
-// Cancel marks the handled event so it will not fire. Same lazy-delete
-// discipline as the sim engine: O(1), collected at the queue top or by
-// compaction once dead records pile up.
+// Cancel marks the handled event so it will not fire; see Queue.Cancel.
 func (d *Driver) Cancel(h Handle) {
-	ev, ok := h.Impl().(*wallEvent)
-	if !ok {
-		return
-	}
 	d.mu.Lock()
-	if ev.gen != h.Gen() || ev.canceled { // stale or already cancelled
-		d.mu.Unlock()
-		return
-	}
-	ev.canceled = true
-	if ev.index >= 0 {
-		d.ncanceled++
-		if d.ncanceled > wallCompactMin && d.ncanceled*2 > len(d.queue) {
-			d.compact()
-		}
-	}
+	d.q.Cancel(h)
 	d.mu.Unlock()
-}
-
-func (d *Driver) compact() {
-	live := d.queue[:0]
-	for _, ev := range d.queue {
-		if ev.canceled {
-			d.release(ev)
-		} else {
-			live = append(live, ev)
-		}
-	}
-	for i := len(live); i < len(d.queue); i++ {
-		d.queue[i] = nil
-	}
-	d.queue = live
-	for i, ev := range d.queue {
-		ev.index = i
-	}
-	heap.Init(&d.queue)
-	d.ncanceled = 0
-}
-
-// peekLocked returns the next live event, collecting cancelled records
-// that surfaced at the top. Caller holds d.mu.
-func (d *Driver) peekLocked() *wallEvent {
-	for len(d.queue) > 0 {
-		if d.queue[0].canceled {
-			ev := heap.Pop(&d.queue).(*wallEvent)
-			d.ncanceled--
-			d.release(ev)
-			continue
-		}
-		return d.queue[0]
-	}
-	return nil
 }
 
 // step pops and runs the next due event if one exists. It returns
@@ -383,27 +249,20 @@ func (d *Driver) peekLocked() *wallEvent {
 func (d *Driver) step() (bool, float64) {
 	d.mu.Lock()
 	d.inCB = false // the previous callback (if any) has returned
-	ev := d.peekLocked()
-	if ev == nil {
+	at, ok := d.q.Peek()
+	if !ok {
 		d.mu.Unlock()
 		return false, math.NaN()
 	}
-	if now := d.nowLocked(); ev.at > now {
-		at := ev.at
+	if at > d.nowLocked() {
 		d.mu.Unlock()
 		return false, at
 	}
-	heap.Pop(&d.queue)
-	if ev.at > d.now {
-		d.now = ev.at
+	_, fn, _ := d.q.Pop()
+	if at > d.now {
+		d.now = at
 	}
 	d.inCB = true
-	d.fired++
-	fn := ev.fn
-	// Recycle before running the callback, like the sim engine: any
-	// handle to this event is dead the instant it fires, and the
-	// callback's own Schedule calls may reuse the record immediately.
-	d.release(ev)
 	d.mu.Unlock()
 	fn()
 	return true, 0

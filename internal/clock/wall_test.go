@@ -95,20 +95,21 @@ func TestDriverStaleHandleCancel(t *testing.T) {
 }
 
 // TestDriverScheduleSteadyStateAllocs guards the free-list recycling:
-// once warm, a schedule→fire cycle must not allocate, same as the sim
-// engine's guarantee that PR 5's drain benchmarks rely on.
+// once warm, a schedule→fire cycle must not allocate, on either driver
+// of the shared queue.
 func TestDriverScheduleSteadyStateAllocs(t *testing.T) {
-	d := clock.NewDriver(clock.NewManualSource())
-	fn := func() {}
-	for i := 0; i < 100; i++ { // warm the free list and heap capacity
-		d.Schedule(0.001, fn)
-	}
-	d.Run()
-	avg := testing.AllocsPerRun(1000, func() {
-		d.Schedule(0.001, fn)
-		d.Run()
+	forEachEngine(t, func(t *testing.T, c lifecycleRunner) {
+		fn := func() {}
+		for i := 0; i < 100; i++ { // warm the free list and heap capacity
+			c.Schedule(0.001, fn)
+		}
+		c.Run()
+		avg := testing.AllocsPerRun(1000, func() {
+			c.Schedule(0.001, fn)
+			c.Run()
+		})
+		if avg != 0 {
+			t.Fatalf("schedule/fire cycle allocates %.1f/op, want 0", avg)
+		}
 	})
-	if avg != 0 {
-		t.Fatalf("schedule/fire cycle allocates %.1f/op, want 0", avg)
-	}
 }

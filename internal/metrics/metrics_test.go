@@ -132,7 +132,7 @@ func TestUtilizationTracker(t *testing.T) {
 // Regression: Stop must cancel the armed sampling event, not just flag
 // the tracker stopped. The old flag-only Stop left the tick queued, so a
 // drained simulation still stepped one empty interval past the last real
-// event — the same lifecycle bug sim.Ticker.Stop fixes.
+// event — the same lifecycle bug clock.Ticker.Stop fixes.
 func TestUtilizationTrackerStopCancelsPending(t *testing.T) {
 	eng := sim.NewEngine()
 	tr := NewUtilizationTracker(eng, nil, 1)

@@ -38,9 +38,9 @@ type LoadGen struct {
 	spec *function.Spec
 	rng  *rand.Rand
 
-	ticker   *clock.Ticker
-	acc      float64
-	deadline float64
+	ticker *clock.Ticker
+	acc    float64
+	ticks  int // batches fired so far
 
 	injected atomic.Int64
 	failed   atomic.Int64
@@ -69,23 +69,28 @@ func (s *Server) StartLoad(cfg LoadGenConfig) (*LoadGen, error) {
 		done: make(chan struct{}),
 	}
 	s.drv.Submit(func() {
-		if cfg.Duration > 0 {
-			lg.deadline = s.drv.Now() + cfg.Duration
-		}
 		lg.ticker = clock.Every(s.drv, cfg.Period, lg.tick)
 	})
 	return lg, nil
 }
 
 // tick runs on the loop goroutine: it injects the batch the elapsed
-// period owes and retires the generator once the deadline passes. A
+// period owes and retires the generator once Duration has elapsed. A
 // deadline mid-period only owes the slice of the period before it, so
 // total offered load is Rate×Duration instead of overshooting by up to
 // one full period.
+//
+// Elapsed time is the tick count times the period, not a clock read:
+// the ticker fires at absolute multiples of the period, so the k-th
+// tick owes the k-th period whenever it pops. The last batch then
+// cannot depend on how the start time rounds, and same-seed runs under
+// a manual source offer the same number of requests.
 func (lg *LoadGen) tick() {
+	lg.ticks++
+	elapsed := float64(lg.ticks) * lg.cfg.Period
 	quota := lg.cfg.Rate * lg.cfg.Period
-	if lg.deadline > 0 {
-		if over := lg.srv.drv.Now() - lg.deadline; over > 0 {
+	if lg.cfg.Duration > 0 {
+		if over := elapsed - lg.cfg.Duration; over > 0 {
 			if rem := lg.cfg.Period - over; rem > 0 {
 				quota = lg.cfg.Rate * rem
 			} else {
@@ -111,7 +116,7 @@ func (lg *LoadGen) tick() {
 		}
 		lg.injected.Add(1)
 	}
-	if lg.deadline > 0 && lg.srv.drv.Now() >= lg.deadline {
+	if lg.cfg.Duration > 0 && elapsed >= lg.cfg.Duration {
 		lg.stopLocked()
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"libra/internal/clock"
 )
 
 func TestScheduleOrder(t *testing.T) {
@@ -57,13 +59,13 @@ func TestCancel(t *testing.T) {
 	}
 	// Double-cancel and zero-handle cancel must be no-ops.
 	e.Cancel(ev)
-	e.Cancel(Handle{})
+	e.Cancel(clock.Handle{})
 }
 
 func TestCancelFromWithinEvent(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	var ev Handle
+	var ev clock.Handle
 	e.Schedule(1, func() { e.Cancel(ev) })
 	ev = e.Schedule(2, func() { fired = true })
 	e.Run()
@@ -162,7 +164,7 @@ func TestPropertyMonotoneFiring(t *testing.T) {
 	f := func(delays []float64, cancelMask []bool) bool {
 		e := NewEngine()
 		var fireTimes []float64
-		var evs []Handle
+		var evs []clock.Handle
 		for _, d := range delays {
 			if d < 0 {
 				d = -d
@@ -194,7 +196,7 @@ func TestPropertyCancelCount(t *testing.T) {
 		e := NewEngine()
 		n := 1 + rng.Intn(200)
 		fired := 0
-		evs := make([]Handle, n)
+		evs := make([]clock.Handle, n)
 		for i := range evs {
 			evs[i] = e.Schedule(rng.Float64()*100, func() { fired++ })
 		}
@@ -223,7 +225,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 func TestTickerFiresPeriodically(t *testing.T) {
 	e := NewEngine()
 	var fires []float64
-	tk := e.Every(2, func() { fires = append(fires, e.Now()) })
+	tk := clock.Every(e, 2, func() { fires = append(fires, e.Now()) })
 	e.RunUntil(7)
 	tk.Stop()
 	e.Run()
@@ -241,8 +243,8 @@ func TestTickerFiresPeriodically(t *testing.T) {
 func TestTickerStopFromWithinCallback(t *testing.T) {
 	e := NewEngine()
 	n := 0
-	var tk *Ticker
-	tk = e.Every(1, func() {
+	var tk *clock.Ticker
+	tk = clock.Every(e, 1, func() {
 		n++
 		if n == 3 {
 			tk.Stop()
@@ -258,7 +260,7 @@ func TestTickerStopFromWithinCallback(t *testing.T) {
 // and the clock does not advance to a dead fire when the engine drains.
 func TestTickerStopCancelsArmedEvent(t *testing.T) {
 	e := NewEngine()
-	tk := e.Every(10, func() {})
+	tk := clock.Every(e, 10, func() {})
 	e.RunUntil(15) // one fire at 10; next armed for 20
 	if e.Pending() != 1 {
 		t.Fatalf("pending = %d before Stop, want 1 (the armed fire)", e.Pending())
@@ -278,8 +280,8 @@ func TestTickerStopCancelsArmedEvent(t *testing.T) {
 // gone) but must still not re-arm — and a later event keeps its time.
 func TestTickerStopFromCallbackLeavesQueueClean(t *testing.T) {
 	e := NewEngine()
-	var tk *Ticker
-	tk = e.Every(1, func() { tk.Stop() })
+	var tk *clock.Ticker
+	tk = clock.Every(e, 1, func() { tk.Stop() })
 	e.At(5, func() {})
 	e.Run()
 	if e.Now() != 5 {
@@ -296,7 +298,7 @@ func TestTickerStopFromCallbackLeavesQueueClean(t *testing.T) {
 // fire".
 func TestPendingExcludesCancelledEvents(t *testing.T) {
 	e := NewEngine()
-	evs := make([]Handle, 10)
+	evs := make([]clock.Handle, 10)
 	for i := range evs {
 		evs[i] = e.Schedule(float64(i+1), func() {})
 	}
@@ -328,7 +330,7 @@ func TestPendingExcludesCancelledEvents(t *testing.T) {
 func TestCancelCompaction(t *testing.T) {
 	e := NewEngine()
 	const n = 200
-	evs := make([]Handle, n)
+	evs := make([]clock.Handle, n)
 	fired := 0
 	for i := range evs {
 		evs[i] = e.Schedule(float64(i+1), func() { fired++ })
@@ -373,14 +375,15 @@ func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
 	}
 }
 
-// Records really are recycled: a drained engine's next schedule must not
-// grow the heap beyond the free list. (White-box: exercises alloc/release.)
+// A drained engine's next schedule reuses the fired event's record; the
+// two handles must still differ, or the stale one would alias the fresh
+// event.
 func TestEventRecordsAreRecycled(t *testing.T) {
 	e := NewEngine()
 	h1 := e.Schedule(1, func() {})
 	e.Run()
 	h2 := e.Schedule(1, func() {})
-	if h1.Impl() == h2.Impl() && h1.Gen() == h2.Gen() {
+	if h1 == h2 {
 		t.Fatal("recycled record kept its generation; stale handles would alias")
 	}
 	e.Cancel(h1) // stale — must be a no-op
@@ -418,5 +421,5 @@ func TestEveryPanicsOnNonPositivePeriod(t *testing.T) {
 			t.Fatal("Every(0) did not panic")
 		}
 	}()
-	e.Every(0, func() {})
+	clock.Every(e, 0, func() {})
 }

@@ -12,18 +12,14 @@ import (
 	"libra/internal/trace"
 )
 
-// TestShardedMatchesSerialMatrix is the sim/live parity matrix: every
+// TestWallDriverMatchesSimMatrix is the sim/live parity matrix: every
 // (variant × seed × faults × autoscale) cell must replay
 // byte-identically — report and full lifecycle trace — on the serial
 // sim engine and on the wall driver under a manual time source, the
 // live-serving code path replayed deterministically. Under -short only
 // one representative cell per variant runs (the fully-loaded one:
 // faults on, autoscale on); the full run covers the cross product.
-//
-// The name predates the removal of the sharded event engine this matrix
-// was first written against; it is kept so the cell identities
-// (variant/seed/faults/autoscale subtests) stay stable across history.
-func TestShardedMatchesSerialMatrix(t *testing.T) {
+func TestWallDriverMatchesSimMatrix(t *testing.T) {
 	chaos := faults.Config{CrashMTBF: 40, MTTR: 5, OOMKill: true, StragglerFraction: 0.1}
 	elastic := platform.AutoscaleConfig{
 		Group:    cluster.NodeGroup{Name: "matrix", Max: 6},
